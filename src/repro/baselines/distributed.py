@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.baselines.dearing import dearing_max_chordal
 from repro.baselines.msgpass import MessageStats, Network
-from repro.chordality.maximality import edge_addable
+from repro.chordality.addability import AddabilityOracle
 from repro.chordality.recognition import is_chordal
 from repro.graph.csr import CSRGraph
 from repro.graph.ops import edge_subgraph, induced_subgraph
@@ -123,10 +123,8 @@ def distributed_nearly_chordal(
 
     accepted = np.vstack([e for e in local_edges if e.size] or
                          [np.empty((0, 2), dtype=np.int64)])
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in accepted:
-        adj[int(u)].add(int(v))
-        adj[int(v)].add(int(u))
+    oracle = AddabilityOracle(n, accepted)
+    adj = oracle.adj
 
     # --- Phase 2: border-edge exchange ----------------------------------
     all_edges = graph.edge_array()
@@ -148,7 +146,7 @@ def distributed_nearly_chordal(
         for msg in net.recv_all(p, "border"):
             for u, v in msg:
                 if repair:
-                    ok = v not in adj[u] and edge_addable(adj, u, v)
+                    ok = v not in adj[u] and oracle.addable(u, v)
                 else:
                     # Paper's heuristic: the border edge is accepted if it
                     # "forms a triangle with a chordal edge" — i.e. some
@@ -158,8 +156,7 @@ def distributed_nearly_chordal(
                     # makes the result only *nearly* chordal.
                     ok = bool(adj[u] & graph_adj[v]) or bool(adj[v] & graph_adj[u])
                 if ok:
-                    adj[u].add(v)
-                    adj[v].add(u)
+                    oracle.add(u, v)
                     accepted_border.append((u, v))
                     net.send(p, "decision", [(u, v)])
     net.exchange()

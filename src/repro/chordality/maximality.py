@@ -19,9 +19,10 @@ the rest of such a cycle is exactly such a path).  That in turn holds iff
   anything longer), so if removal of common neighbors disconnects them no
   long induced path exists and ``uv`` is addable.
 
-This turns each addability test into one early-exit BFS instead of a full
-chordality re-check; :func:`addable_edges` relies on it and the test suite
-cross-validates it against the rebuild-and-recognise oracle.
+This turns each addability test into at most one early-exit BFS instead of
+a full chordality re-check; :mod:`repro.chordality.addability` implements
+it once for every caller, and the test suite cross-validates it against
+the rebuild-and-recognise oracle :func:`addable_edges_slow`.
 
 Reproduction note (paper erratum)
 ---------------------------------
@@ -37,11 +38,11 @@ in practice.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
+from repro.chordality.addability import AddabilityOracle, linked_avoiding
 from repro.chordality.recognition import is_chordal
+from repro.chordality.verify import verify_extraction
 from repro.errors import GraphFormatError
 from repro.graph.builder import from_edge_array
 from repro.graph.csr import CSRGraph
@@ -61,28 +62,14 @@ def edge_addable(adj: list[set[int]], u: int, v: int) -> bool:
 
     ``adj`` is an adjacency-set list of a **chordal** graph; ``(u, v)``
     must currently be a non-edge.  Implements the component criterion from
-    the module docstring with an early-exit BFS from ``u`` toward ``v``
-    avoiding ``N(u) ∩ N(v)``.
-
-    The BFS expands neighbors in ascending vertex order (not raw set
-    order, which depends on each set's insertion history), so the whole
-    maximality machinery — and therefore every counterexample a failure
-    report prints — is reproducible run to run for the same input.
+    the module docstring with a bidirectional BFS between ``u`` and ``v``
+    avoiding ``N(u) ∩ N(v)``.  Callers testing many edges against one
+    graph should hold an :class:`~repro.chordality.addability.AddabilityOracle`,
+    which decides most of them without a BFS.
     """
     if v in adj[u]:
         raise ValueError(f"({u}, {v}) is already an edge")
-    common = adj[u] & adj[v]
-    seen = {u} | common  # banned vertices count as seen
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if v in adj[x]:
-            return False  # reachable avoiding common nbrs -> long induced path
-        for y in sorted(adj[x]):
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return True
+    return not linked_avoiding(adj, u, v, adj[u] & adj[v])
 
 
 def missing_edges(graph: CSRGraph, subgraph: CSRGraph) -> list[tuple[int, int]]:
@@ -91,15 +78,11 @@ def missing_edges(graph: CSRGraph, subgraph: CSRGraph) -> list[tuple[int, int]]:
 
     This is *the* candidate order every maximality scan iterates
     (:func:`addable_edges`, :func:`addable_edges_slow`, the completion
-    pass in :mod:`repro.core.maximalize`): an explicit deterministic
-    sequence instead of ad-hoc set differences, so failure reports name
-    the same counterexample edges on every run.
+    pass in :mod:`repro.core.maximalize`): a fixed sequence, so a report
+    that stops after a few hits names the same counterexample edges on
+    every run.
     """
     return sorted(graph.edge_set() - subgraph.edge_set())
-
-
-def _adjacency_sets(graph: CSRGraph) -> list[set[int]]:
-    return [set(int(x) for x in graph.neighbors(v)) for v in range(graph.num_vertices)]
 
 
 def addable_edges(
@@ -121,14 +104,7 @@ def addable_edges(
         )
     if not is_chordal(subgraph):
         raise ValueError("subgraph must be chordal to test edge addability")
-    adj = _adjacency_sets(subgraph)
-    found: list[tuple[int, int]] = []
-    for u, v in missing_edges(graph, subgraph):
-        if edge_addable(adj, u, v):
-            found.append((u, v))
-            if limit is not None and len(found) >= limit:
-                break
-    return found
+    return AddabilityOracle(graph.num_vertices, subgraph.edge_array()).scan(graph, limit)
 
 
 def addable_edges_slow(
@@ -160,7 +136,7 @@ def is_maximal_chordal_subgraph(graph: CSRGraph, subgraph: CSRGraph) -> bool:
         return False
     if not is_chordal(subgraph):
         return False
-    return not addable_edges(graph, subgraph, limit=1)
+    return not AddabilityOracle(graph.num_vertices, subgraph.edge_array()).scan(graph, 1)
 
 
 def assert_valid_extraction(
@@ -175,17 +151,4 @@ def assert_valid_extraction(
         raise AssertionError(
             f"vertex count mismatch: {graph.num_vertices} != {subgraph.num_vertices}"
         )
-    extra = subgraph.edge_set() - graph.edge_set()
-    if extra:
-        raise AssertionError(f"subgraph invents edges not in parent: {sorted(extra)[:5]}")
-    if not is_chordal(subgraph):
-        from repro.chordality.recognition import find_hole
-
-        hole = find_hole(subgraph)
-        raise AssertionError(f"extracted subgraph is not chordal; hole: {hole}")
-    if check_maximal:
-        violations = addable_edges(graph, subgraph, limit=3)
-        if violations:
-            raise AssertionError(
-                f"subgraph is not maximal; addable edges include {violations}"
-            )
+    verify_extraction(graph, subgraph, check_maximal=check_maximal).raise_if_invalid()

@@ -4,24 +4,23 @@ The asynchronous schedules are *any-valid*: a run returns some maximal
 chordal subgraph (paper Theorems 1–2), not a bit-reproducible one, so
 bit-identity checks cannot certify them.  This module composes the
 library's oracles — :func:`repro.chordality.recognition.is_chordal` /
-:func:`~repro.chordality.recognition.find_hole` and
-:func:`repro.chordality.maximality.addable_edges` — into a single
-verdict object that tests, the property suite and ``repro extract
---verify`` all share.
+:func:`~repro.chordality.recognition.find_hole` and the addability
+oracle behind :func:`repro.chordality.maximality.addable_edges` — into
+a single verdict object that tests, the property suite and ``repro
+extract --verify`` all share.
 
-Unlike :func:`repro.chordality.maximality.assert_valid_extraction` (which
-raises on first failure), :func:`verify_extraction` always runs every
-applicable check and returns a :class:`VerificationReport` carrying the
-counterexamples, so a failing property seed prints a complete diagnosis
-in one go.
+:func:`verify_extraction` always runs every applicable check and
+returns a :class:`VerificationReport` carrying the counterexamples, so
+a failing property seed prints a complete diagnosis in one go.
 
 Reports are **deterministic**: for a given ``(graph, extracted)`` pair
 the counterexamples are always the same, run to run and machine to
-machine — invented edges are sorted, and the maximality scan iterates
-:func:`repro.chordality.maximality.missing_edges` in lexicographic
-order with an ascending-vertex BFS (not raw set order).  A failure
-message pasted into a bug report therefore names the exact edges a
-replay will name again.
+machine — invented edges are sorted, and the maximality scan offers
+candidates in the lexicographic order of
+:func:`repro.chordality.maximality.missing_edges` and stops after the
+first few addable ones.  Each addability answer is exact, so how a
+search visits vertices cannot change it.  A failure message pasted into
+a bug report therefore names the exact edges a replay will name again.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.chordality.maximality import addable_edges
+from repro.chordality.addability import AddabilityOracle
 from repro.chordality.recognition import find_hole, is_chordal
 from repro.graph.builder import from_edge_array
 from repro.graph.csr import CSRGraph
@@ -158,7 +157,9 @@ def verify_extraction(
     maximal: bool | None = None
     addable: list[tuple[int, int]] = []
     if check_maximal and edges_valid and chordal:
-        addable = addable_edges(graph, subgraph, limit=max_counterexamples)
+        # ``chordal`` is established: skip addable_edges' own recheck.
+        oracle = AddabilityOracle(graph.num_vertices, subgraph.edge_array())
+        addable = oracle.scan(graph, limit=max_counterexamples)
         maximal = not addable
     elif check_maximal:
         maximal = False  # can't be a maximal chordal subgraph if not even valid

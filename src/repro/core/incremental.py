@@ -60,6 +60,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.chordality.addability import avoiding_path
 from repro.chordality.recognition import find_hole, is_chordal
 from repro.core.config import ExtractionConfig
 from repro.core.session import ChordalResult, Extractor
@@ -72,33 +73,6 @@ __all__ = ["IncrementalExtractor"]
 #: Mutation-op spellings accepted by :meth:`IncrementalExtractor.apply_batch`.
 INSERT_OPS = ("insert", "+")
 DELETE_OPS = ("delete", "-")
-
-
-def _avoiding_path(
-    adj: list[set[int]], u: int, v: int
-) -> list[int] | None:
-    """Deterministic BFS for a ``u``–``v`` path in
-    ``adj − (N(u) ∩ N(v))``; returns the vertex path ``[u, …, v]``, or
-    ``None`` when the endpoints are disconnected — i.e. the edge is
-    addable.  Mirrors :func:`repro.chordality.maximality.edge_addable`
-    (which returns only the boolean)."""
-    banned = adj[u] & adj[v]
-    parent = {u: u}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in sorted(adj[x]):  # ascending order: deterministic paths
-            if y == v:
-                path = [v, x]
-                while path[-1] != u:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return path
-            if y in banned or y in parent:
-                continue
-            parent[y] = x
-            queue.append(y)
-    return None
 
 
 class IncrementalExtractor:
@@ -223,7 +197,7 @@ class IncrementalExtractor:
         self._graph_adj[v].add(u)
         self._graph_cache = None
         self.stats["inserts"] += 1
-        path = _avoiding_path(self._chordal_adj, u, v)
+        path = avoiding_path(self._chordal_adj, u, v)
         if path is None:
             self._retain(u, v)
             self.stats["retained_inserts"] += 1
@@ -383,7 +357,7 @@ class IncrementalExtractor:
             if edge not in self._rejected:
                 continue  # accepted earlier on this worklist
             a, b = edge
-            path = _avoiding_path(self._chordal_adj, a, b)
+            path = avoiding_path(self._chordal_adj, a, b)
             if path is None:
                 self._unreject(a, b)
                 self._retain(a, b)
@@ -510,7 +484,7 @@ class IncrementalExtractor:
                 if v > u and v not in self._chordal_adj[u]:
                     self._reject(u, v)
         for edge in sorted(self._rejected):
-            path = _avoiding_path(self._chordal_adj, *edge)
+            path = avoiding_path(self._chordal_adj, *edge)
             if path is None:
                 # The seed extraction was not maximal here (possible when
                 # a custom engine under-maximalizes): adopt the edge.

@@ -40,13 +40,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConvergenceError
+from repro.errors import ConfigError, ConvergenceError
 from repro.graph.csr import CSRGraph
 
 __all__ = [
     "lower_counts",
     "initial_parents",
     "arena_offsets",
+    "MAX_KEY_VERTICES",
+    "check_key_range",
     "build_arena_keys",
     "subset_mask",
     "subset_mask_live",
@@ -55,6 +57,21 @@ __all__ = [
     "assemble_edges",
     "vectorized_sync_max_chordal",
 ]
+
+
+#: Largest vertex count whose probe keys ``v * n + e`` (at most
+#: ``n * n - 1``) fit in int64; past it NumPy wraps them silently.
+MAX_KEY_VERTICES = 3_037_000_499
+
+
+def check_key_range(n: int) -> None:
+    """Raise :class:`ConfigError` if ``n`` vertices overflow the key probe."""
+    if n > MAX_KEY_VERTICES:
+        raise ConfigError(
+            f"n={n} vertices overflows the int64 probe key v * n + e "
+            f"(at most {MAX_KEY_VERTICES} vertices); use engine='native', "
+            "whose compiled subset test binary-searches arena runs instead"
+        )
 
 
 def lower_counts(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -301,6 +318,7 @@ def vectorized_sync_max_chordal(
         raise ValueError(
             f"unknown variant {variant!r}; expected 'optimized' or 'unoptimized'"
         )
+    check_key_range(graph.num_vertices)
     g = graph if graph.sorted_adjacency else graph.with_sorted_adjacency()
     n = g.num_vertices
     indptr = g.indptr

@@ -5,11 +5,11 @@ maximal, but its proof is incomplete and the claim fails on real inputs:
 the subset test ``C[w] ⊆ C[v]`` evaluates *while ``C[v]`` is still
 growing*, so an edge can be rejected that would have passed against the
 final sets (see ``tests/test_theorem2_gap.py`` for a machine-checked
-counterexample and ``EXPERIMENTS.md`` for how rare this is in practice).
+counterexample).
 
 :func:`maximalize_chordal_edges` greedily re-offers every rejected edge to
-the chordal subgraph using the O(V+E)-per-edge addability criterion of
-:mod:`repro.chordality.maximality` and accepts those that keep the graph
+the chordal subgraph through the exact addability oracle of
+:mod:`repro.chordality.addability` and accepts those that keep the graph
 chordal, yielding a certified-maximal chordal subgraph containing the
 algorithm's output.  With ``weights`` given, candidates are offered
 heaviest-first (the weight-greedy completion the ``weighted`` engine
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.chordality.maximality import edge_addable
+from repro.chordality.addability import AddabilityOracle
 from repro.graph.csr import CSRGraph
 
 __all__ = ["maximalize_chordal_edges"]
@@ -59,40 +59,16 @@ def maximalize_chordal_edges(
     -----
     Greedy is safe: after each accepted edge the graph is still chordal,
     and an edge rejected now stays unaddable only *for the current graph*;
-    we therefore sweep until a full pass adds nothing.  In practice one
-    pass almost always suffices (adding an edge only makes other additions
-    harder within the same region, but a later addition can in principle
-    disconnect a common neighborhood, so the loop is kept for correctness).
+    the oracle therefore sweeps until a full pass adds nothing.
     """
     base = np.asarray(chordal_edges, dtype=np.int64).reshape(-1, 2)
-    adj: list[set[int]] = [set() for _ in range(graph.num_vertices)]
-    have: set[tuple[int, int]] = set()
-    for u, v in base:
-        u, v = int(u), int(v)
-        adj[u].add(v)
-        adj[v].add(u)
-        have.add((min(u, v), max(u, v)))
-
-    candidates = sorted(graph.edge_set() - have)
+    oracle = AddabilityOracle(graph.num_vertices, base)
+    candidates = oracle.missing(graph)
     if weights is not None:
-        candidates.sort(key=lambda e: (-weights.get(e, 1.0), e))
-    added: list[tuple[int, int]] = []
-    while True:
-        progress = False
-        remaining: list[tuple[int, int]] = []
-        for u, v in candidates:
-            if edge_addable(adj, u, v):
-                adj[u].add(v)
-                adj[v].add(u)
-                added.append((u, v))
-                progress = True
-            else:
-                remaining.append((u, v))
-        candidates = remaining
-        if not progress or not candidates:
-            break
-
-    if not added:
+        pairs = [tuple(e) for e in candidates.tolist()]
+        order = sorted(range(len(pairs)), key=lambda i: (-weights.get(pairs[i], 1.0), i))
+        candidates = candidates[np.asarray(order, dtype=np.int64)]
+    accepted, _rejected, _rounds = oracle.saturate(candidates)
+    if not accepted:
         return base, 0
-    extended = np.vstack((base, np.asarray(added, dtype=np.int64)))
-    return extended, len(added)
+    return np.vstack((base, candidates[accepted])), len(accepted)

@@ -40,7 +40,7 @@ import threading
 import numpy as np
 
 from repro.core.instrument import CostModelParams, TraceBuilder, WorkTrace
-from repro.core.kernels import assemble_edges, build_arena_keys
+from repro.core.kernels import assemble_edges, build_arena_keys, check_key_range
 from repro.core.runtime.layout import CTRL_NKEYS
 from repro.errors import ConfigError, ConvergenceError
 from repro.parallel.partition import balanced_chunks
@@ -83,6 +83,8 @@ def drive(
         Trace op weights; iteration safety bound (default
         ``max_degree + 2``).
     """
+    if getattr(executor, "needs_keys", True):
+        check_key_range(state.n)
     if variant not in VARIANTS:
         raise ConfigError(
             f"unknown variant {variant!r}; expected 'optimized' or 'unoptimized'"

@@ -51,12 +51,13 @@ and degenerate weights (zero, negative) are legal preferences — see
 :mod:`repro.graph.weights`.
 
 Complexity: ``O(|E| * Δ)`` for the labelled pass (lazy max-heap) plus
-one addability BFS per initially-rejected edge for the completion.
+the completion's addability sweep over the initially-rejected edges.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import repeat
 
 import numpy as np
 
@@ -118,10 +119,10 @@ def weighted_max_chordal(
 
     def neighbors_with_weights(v: int):
         lo, hi = graph.indptr[v], graph.indptr[v + 1]
-        row = graph.indices[lo:hi]
+        row = graph.indices[lo:hi].tolist()
         if arc_weights is None:
-            return ((int(w), 1.0) for w in row)
-        return zip((int(w) for w in row), arc_weights[lo:hi])
+            return zip(row, repeat(1.0))
+        return zip(row, arc_weights[lo:hi].tolist())
 
     selected[start] = True
     for w, wt in neighbors_with_weights(start):

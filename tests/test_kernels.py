@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from repro.core.kernels import (
+    MAX_KEY_VERTICES,
     advance_parents,
     append_accepted,
     arena_offsets,
     build_arena_keys,
+    check_key_range,
     initial_parents,
     lower_counts,
     subset_mask,
@@ -22,7 +24,8 @@ from repro.core.kernels import (
     vectorized_sync_max_chordal,
 )
 from repro.core.state import make_strategy
-from repro.errors import ConvergenceError
+from repro.core.runtime.driver import drive
+from repro.errors import ConfigError, ConvergenceError
 from repro.graph.generators.classic import complete_graph, star_graph
 from repro.graph.generators.random import gnp_random_graph
 from repro.graph.generators.rmat import rmat_b
@@ -266,3 +269,27 @@ class TestVectorizedEngine:
         a, qa = vectorized_sync_max_chordal(g)
         b, qb = vectorized_sync_max_chordal(shuffled)
         assert np.array_equal(a, b) and qa == qb
+
+
+class TestKeyRange:
+    """``v * n + e`` must fit int64: the largest key is ``n * n - 1``."""
+
+    def test_bound_is_the_int64_limit(self):
+        assert MAX_KEY_VERTICES**2 - 1 <= 2**63 - 1
+        assert (MAX_KEY_VERTICES + 1) ** 2 - 1 > 2**63 - 1
+
+    def test_predicate(self):
+        check_key_range(3_037_000_499)
+        with pytest.raises(ConfigError, match="n=3037000500.*native"):
+            check_key_range(3_037_000_500)
+
+    def test_driver_refuses_before_touching_state(self):
+        # Stand-ins only: the check runs before any array is read.
+        class State:
+            n = 3_037_000_500
+
+        class Executor:
+            needs_keys = True
+
+        with pytest.raises(ConfigError, match="n=3037000500"):
+            drive(State(), Executor(), schedule="synchronous")
