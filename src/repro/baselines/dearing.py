@@ -22,11 +22,12 @@ is always a **maximal** chordal subgraph, which makes this baseline the
 library's certified-maximal reference (property-tested against the
 checker).
 
-Complexity ``O(|E| * Δ)`` with the lazy max-heap of
-:func:`repro.core.weighted.weighted_max_chordal`, which runs it.
+Complexity ``O(|E| * Δ)`` with the lazy max-heap below.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -52,11 +53,49 @@ def dearing_max_chordal(graph: CSRGraph, start: int = 0) -> np.ndarray:
     ``(k, 2)`` edge array of the maximal chordal subgraph, rows in
     selection order.
     """
-    # MAXCHORD is the weighted pass under unit weights: a label's weight
-    # is then its size, so selections and edges coincide.
-    from repro.core.weighted import weighted_max_chordal  # import cycle
+    n = graph.num_vertices
+    if n == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if not 0 <= start < n:
+        raise ValueError(f"start {start} out of range for n={n}")
 
-    edges, _profile = weighted_max_chordal(
-        graph.without_weights(), start, complete=False
-    )
-    return edges
+    labels: list[set[int]] = [set() for _ in range(n)]
+    selected = np.zeros(n, dtype=bool)
+    edges: list[tuple[int, int]] = []
+
+    # Lazy max-heap of (-|L|, vertex); stale entries skipped on pop.
+    heap: list[tuple[int, int]] = []
+
+    def push(w: int) -> None:
+        heapq.heappush(heap, (-len(labels[w]), w))
+
+    selected[start] = True
+    for w in graph.neighbors(start):
+        w = int(w)
+        labels[w].add(start)
+        push(w)
+    for v in range(n):
+        if v != start and not labels[v]:
+            push(v)  # zero-label vertices must still be selected eventually
+
+    remaining = n - 1
+    while remaining:
+        neg_size, w_star = heapq.heappop(heap)
+        if selected[w_star] or -neg_size != len(labels[w_star]):
+            continue  # stale heap entry
+        selected[w_star] = True
+        remaining -= 1
+        lbl = labels[w_star]
+        for u in sorted(lbl):
+            edges.append((u, w_star))
+        for w in graph.neighbors(w_star):
+            w = int(w)
+            if selected[w]:
+                continue
+            if labels[w] <= lbl:
+                labels[w].add(w_star)
+                push(w)
+
+    if not edges:
+        return np.empty((0, 2), dtype=np.int64)
+    return np.asarray(edges, dtype=np.int64)

@@ -76,11 +76,14 @@ def missing_edges(graph: CSRGraph, subgraph: CSRGraph) -> list[tuple[int, int]]:
     """Edges of ``graph`` absent from ``subgraph``, in ``(u, v)``
     lexicographic order with ``u < v``.
 
-    This is *the* candidate order every maximality scan iterates
-    (:func:`addable_edges`, :func:`addable_edges_slow`, the completion
-    pass in :mod:`repro.core.maximalize`): a fixed sequence, so a report
-    that stops after a few hits names the same counterexample edges on
-    every run.
+    This is the independent candidate order of the reference
+    :func:`addable_edges_slow`.  Every other scan (:func:`addable_edges`,
+    :func:`~repro.chordality.verify.verify_extraction`, the completion
+    pass in :mod:`repro.core.maximalize`) iterates
+    :meth:`AddabilityOracle.missing
+    <repro.chordality.addability.AddabilityOracle.missing>`, which must
+    produce the same sequence: a fixed one, so a report that stops after
+    a few hits names the same counterexample edges on every run.
     """
     return sorted(graph.edge_set() - subgraph.edge_set())
 

@@ -17,8 +17,8 @@ Reports are **deterministic**: for a given ``(graph, extracted)`` pair
 the counterexamples are always the same, run to run and machine to
 machine — invented edges are sorted, and the maximality scan offers
 candidates in the lexicographic order of
-:func:`repro.chordality.maximality.missing_edges` and stops after the
-first few addable ones.  Each addability answer is exact, so how a
+:meth:`repro.chordality.addability.AddabilityOracle.missing` and stops
+after the first few addable ones.  Each addability answer is exact, so how a
 search visits vertices cannot change it.  A failure message pasted into
 a bug report therefore names the exact edges a replay will name again.
 """

@@ -57,7 +57,6 @@ the completion's addability sweep over the initially-rejected edges.
 from __future__ import annotations
 
 import heapq
-from itertools import repeat
 
 import numpy as np
 
@@ -119,10 +118,10 @@ def weighted_max_chordal(
 
     def neighbors_with_weights(v: int):
         lo, hi = graph.indptr[v], graph.indptr[v + 1]
-        row = graph.indices[lo:hi].tolist()
+        row = graph.indices[lo:hi]
         if arc_weights is None:
-            return zip(row, repeat(1.0))
-        return zip(row, arc_weights[lo:hi].tolist())
+            return ((int(w), 1.0) for w in row)
+        return zip((int(w) for w in row), arc_weights[lo:hi])
 
     selected[start] = True
     for w, wt in neighbors_with_weights(start):

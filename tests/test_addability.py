@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 import repro.core.maximalize as maximalize_mod
 from repro.chordality.addability import AddabilityOracle, linked_avoiding
-from repro.chordality.maximality import addable_edges, addable_edges_slow
+from repro.chordality.maximality import addable_edges, addable_edges_slow, missing_edges
 from repro.chordality.verify import verify_extraction
 from repro.core.config import ExtractionConfig
 from repro.core.maximalize import maximalize_chordal_edges
@@ -387,3 +387,13 @@ def test_missing_is_lexicographic_and_excludes_h():
     g = build_graph(5, [(3, 4), (0, 4), (0, 1), (1, 3), (0, 2)])
     oracle = AddabilityOracle(5, np.array([(0, 1), (3, 4)], dtype=np.int64))
     assert oracle.missing(g).tolist() == [[0, 2], [0, 4], [1, 3]]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_missing_matches_reference_order(family):
+    # The oracle's candidate order must equal missing_edges, the order
+    # of the reference addable_edges_slow.
+    g = FAMILIES[family](8, seed=3)
+    h = from_edge_array(g.num_vertices, _raw_edges(g))
+    oracle = AddabilityOracle(g.num_vertices, h.edge_array())
+    assert [tuple(e) for e in oracle.missing(g).tolist()] == missing_edges(g, h)
