@@ -90,6 +90,17 @@ class VerificationReport:
             raise AssertionError(str(self))
 
 
+def _invented_keys(graph: CSRGraph, subgraph: CSRGraph) -> np.ndarray:
+    """Sorted ``u * n + v`` keys (``u < v``) of the edges of ``subgraph``
+    missing from ``graph``."""
+    n = np.int64(graph.num_vertices)
+    sub = subgraph.edge_array().astype(np.int64)
+    have = graph.edge_array().astype(np.int64)
+    sub_keys = np.sort(sub[:, 0] * n + sub[:, 1])
+    have_keys = np.sort(have[:, 0] * n + have[:, 1])
+    return sub_keys[~np.isin(sub_keys, have_keys, assume_unique=True)]
+
+
 def verify_extraction(
     graph: CSRGraph,
     extracted,
@@ -122,6 +133,7 @@ def verify_extraction(
     :class:`VerificationReport` — truthiness via ``report.ok``, one-line
     diagnosis via ``str(report)``.
     """
+    n = graph.num_vertices
     if isinstance(extracted, CSRGraph):
         subgraph = extracted
         if subgraph.num_vertices != graph.num_vertices:
@@ -137,7 +149,6 @@ def verify_extraction(
         # Rows the builder would drop or reject (out-of-range endpoints,
         # self-loops — no valid extraction emits either) are gathered
         # here, because the edge-set diff below can no longer see them.
-        n = graph.num_vertices
         malformed = (
             (edges[:, 0] < 0)
             | (edges[:, 1] < 0)
@@ -148,10 +159,11 @@ def verify_extraction(
         bad_rows = [(int(u), int(v)) for u, v in edges[malformed]]
         subgraph = from_edge_array(n, edges, allow_out_of_range=True)
 
-    invented = sorted(subgraph.edge_set() - graph.edge_set())
+    missing = _invented_keys(graph, subgraph)
+    invented = [(int(k // n), int(k % n)) for k in missing[:max_counterexamples]]
     if not isinstance(extracted, CSRGraph):
         invented = sorted(set(bad_rows)) + invented
-    edges_valid = not invented
+    edges_valid = not invented and not missing.size
     chordal = is_chordal(subgraph)
     hole = None if chordal else find_hole(subgraph)
     maximal: bool | None = None

@@ -23,8 +23,12 @@ All four are pairings of the unified runtime's backends
 ExecutorBackend choice.
 
 ``superstep``
-    ``LocalState`` × ``SerialExecutor`` (vectorized kernels);
-    deterministic under both schedules; collects work traces.
+    ``LocalState`` × ``SerialExecutor``; deterministic under both
+    schedules; collects work traces.  The asynchronous schedule (the
+    default) runs the maximal-progress sweep as one compiled call when
+    the native backend resolves (``supports_native``), bit-identical to
+    the Python sweep that traced runs and toolchain-less hosts use; the
+    synchronous rounds run the vectorized NumPy kernels.
 ``threaded``
     ``LocalState`` × ``ThreadTeamExecutor`` — real threads with
     per-iteration barriers (GIL-bound); asynchronous output may differ
@@ -161,8 +165,9 @@ class EngineSpec:
         Whether extraction runs on (and can reuse) a
         :class:`~repro.core.procpool.ProcessPool`.
     supports_native:
-        Whether the engine dispatches the compiled nogil round bodies
-        (:mod:`repro.core.native`) when they are available.  This is a
+        Whether the engine dispatches compiled kernels
+        (:mod:`repro.core.native`: the nogil round bodies or the serial
+        sweep) when they are available.  This is a
         *capability* flag: whether the compiled path actually runs on a
         given host is a runtime question, answered by
         :func:`repro.core.native.native_status` and surfaced as
@@ -443,9 +448,11 @@ register_engine(
     EngineSpec(
         name="superstep",
         run_fn=_run_superstep,
-        description="serial bulk-array engine, vectorized kernels (default)",
+        description="serial engine: compiled sweep (asynchronous, when the "
+        "native backend resolves), vectorized kernels otherwise (default)",
         deterministic_schedules=("asynchronous", "synchronous"),
         supports_trace=True,
+        supports_native=True,
     )
 )
 register_engine(

@@ -4,7 +4,8 @@ The paper's headline claim is multithreaded scaling on shared memory;
 CPython's GIL forced this reproduction's true-parallel path through
 worker *processes* (fork + shared segment + barrier protocol).  This
 package closes that gap: the round bodies of
-:mod:`repro.core.runtime.rounds` translated to C, compiled once via cffi
+:mod:`repro.core.runtime.rounds` and the serial asynchronous sweep of
+:mod:`repro.core.runtime.driver` translated to C, compiled once via cffi
 into a cached ``.so`` (:mod:`~repro.core.native.build`), and exposed as
 drop-in slice functions (:mod:`~repro.core.native.bodies`) that operate
 on the canonical schema arrays in place and release the GIL — so the
@@ -24,6 +25,7 @@ from repro.core.native.bodies import (
     native_round_body,
     native_run_async_slice,
     native_run_sync_slice,
+    native_sweep,
 )
 from repro.core.native.build import CACHE_ENV, DISABLE_ENV, NativeStatus, resolve
 
@@ -37,6 +39,7 @@ __all__ = [
     "native_round_body",
     "native_run_sync_slice",
     "native_run_async_slice",
+    "native_sweep",
 ]
 
 

@@ -25,9 +25,17 @@ Equivalence to the NumPy bodies (the determinism contract):
   of the same nondeterministic algorithm (a published prefix is
   immutable and ``C[w]`` is slice-owned), and every output is certified
   by ``verify_extraction`` + the driver's claim accounting.
+* **sweep** — :func:`native_sweep` runs the driver's serial
+  maximal-progress sweep whole.  Its linked-list children map appends in
+  service order exactly like the Python lists, its prefix freeze and
+  subset test are the ones above, and its next queue is the same sorted
+  set of new parents, so edges (in order) and queue sizes are
+  bit-identical to the Python sweep.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -44,6 +52,7 @@ __all__ = [
     "native_round_body",
     "native_run_sync_slice",
     "native_run_async_slice",
+    "native_sweep",
 ]
 
 _I64 = np.dtype(np.int64)
@@ -79,15 +88,16 @@ def _module():
     return module
 
 
-#: id(arrays-dict) -> (strong refs to every array handed to C, pointer
-#: dict).  A hit requires each schema entry to be the *same ndarray
-#: object* as the cached one; the held references keep those objects
-#: alive, so id() reuse after GC is impossible and a remapped segment
-#: (fresh view objects) misses and rebuilds.  An ndarray's buffer cannot
-#: move while referenced (in-place resize refuses when references
-#: exist), so object identity implies pointer validity — and the
-#: identity probe is far cheaper than re-deriving thirteen addresses.
-_ptr_cache: dict[int, tuple[dict[str, np.ndarray], dict[str, object]]] = {}
+#: id(arrays-dict) -> (weak refs to every array handed to C, pointer
+#: dict).  A hit requires each schema entry to be the *same live ndarray
+#: object* as the cached one, so a reused id() after GC (dead refs) or a
+#: remapped segment (fresh view objects) misses and rebuilds.  An
+#: ndarray's buffer cannot move while referenced (in-place resize
+#: refuses when references exist), so object identity implies pointer
+#: validity — and the identity probe is far cheaper than re-deriving
+#: thirteen addresses.  The refs are weak so that the cache never keeps
+#: a finished state's arrays alive.
+_ptr_cache: dict[int, tuple[dict[str, weakref.ref], dict[str, object]]] = {}
 
 _ALL_ARRAYS = _INT_ARRAYS + ("ok",)
 
@@ -97,7 +107,7 @@ def _pointers(ffi, a: dict[str, np.ndarray]) -> dict[str, object]:
     hit = _ptr_cache.get(key)
     if hit is not None:
         cached, ptrs = hit
-        if all(a[name] is cached[name] for name in _ALL_ARRAYS):
+        if all(a[name] is cached[name]() for name in _ALL_ARRAYS):
             return ptrs
     ptrs = {}
     for name in _INT_ARRAYS:
@@ -114,7 +124,7 @@ def _pointers(ffi, a: dict[str, np.ndarray]) -> dict[str, object]:
     ptrs["ok"] = ffi.cast("uint8_t *", ok.ctypes.data)
     if len(_ptr_cache) > 64:  # transient LocalStates; keep the cache bounded
         _ptr_cache.clear()
-    _ptr_cache[key] = ({name: a[name] for name in _ALL_ARRAYS}, ptrs)
+    _ptr_cache[key] = ({name: weakref.ref(a[name]) for name in _ALL_ARRAYS}, ptrs)
     return ptrs
 
 
@@ -176,6 +186,47 @@ def native_run_async_slice(tid: int, a: dict[str, np.ndarray]) -> None:
         EDGE_REJECTED,
         p["ok"],
     )
+
+
+def native_sweep(state, limit: int) -> tuple[np.ndarray | None, list[int]]:
+    """The compiled serial sweep over a reset ``state``.
+
+    Returns ``(edges, queue_sizes)`` with the edges in service order, or
+    ``(None, queue_sizes)`` when an iteration beyond ``limit`` would
+    start — the last queue size is then that iteration's.  The number of
+    iterations never exceeds ``arena_used + 1`` (every iteration but the
+    last serves a child), which caps the queue-size buffer.
+    """
+    module = _module()
+    a = state.arrays
+    n = state.n
+    qcap = max(0, min(limit, state.arena_used + 1))
+    work = np.empty(6 * n, dtype=np.int64)
+    edges = np.empty((state.arena_used, 2), dtype=np.int64)
+    # Zero-filled: every queue size written is >= 1, so the nonzero
+    # prefix is the iteration count.
+    queue_sizes = np.zeros(qcap + 1, dtype=np.int64)
+    ffi = module.ffi
+    p = _pointers(ffi, a)
+    num_edges = module.lib.repro_sweep(
+        n,
+        qcap,
+        p["arena"],
+        p["offsets"],
+        p["counts"],
+        p["indptr"],
+        p["indices"],
+        p["lower"],
+        p["cursor"],
+        p["lp"],
+        ffi.cast("int64_t *", work.ctypes.data),
+        ffi.cast("int64_t *", edges.ctypes.data),
+        ffi.cast("int64_t *", queue_sizes.ctypes.data),
+    )
+    if num_edges < 0:
+        return None, queue_sizes.tolist()
+    iterations = int(np.count_nonzero(queue_sizes))
+    return edges[:num_edges], queue_sizes[:iterations].tolist()
 
 
 def native_round_body(schedule: str):

@@ -1,11 +1,14 @@
-"""Build-and-cache machinery for the compiled round bodies.
+"""Build-and-cache machinery for the compiled kernels.
 
-The C translation of :mod:`repro.core.runtime.rounds` lives here as a
-source string and is compiled **once** per (source, interpreter) digest
-via cffi's out-of-line API mode into a cached ``.so`` under
-``~/.cache/repro-native`` (override with :data:`CACHE_ENV`).  Later
-imports just ``dlopen`` the cached artifact — no compiler needed after
-the first build, and CI caches the directory between steps.
+The C source lives here as a string: the translation of the round
+bodies of :mod:`repro.core.runtime.rounds` plus the serial
+maximal-progress sweep of :mod:`repro.core.runtime.driver` (the default
+``superstep`` asynchronous path).  It is compiled **once** per (source,
+interpreter) digest via cffi's out-of-line API mode, in a child
+interpreter, into a cached ``.so`` under ``~/.cache/repro-native``
+(override with :data:`CACHE_ENV`).  Later imports just ``dlopen`` the
+cached artifact — no compiler needed after the first build, and CI
+caches the directory between steps.
 
 Resolution never raises: :func:`resolve` returns a
 :class:`NativeStatus` whose ``detail`` names exactly *why* the backend
@@ -19,24 +22,25 @@ is unavailable — the three distinct failure modes callers report are
 plus the explicit opt-out ``REPRO_NATIVE=0`` (how the test suite forces
 the fallback branch on a host that *does* have a compiler).
 
-Why C at all: the round bodies are memory-bound pointer-chasing loops
-(per-pair binary searches over sorted arena runs), the shape where a
-compiled inner loop beats further NumPy batching.  The C functions take
-raw pointers into the *same* canonical schema arrays
-(:mod:`repro.core.runtime.layout`) — LocalState NumPy buffers and
-SharedSegmentState views alike, zero copies — and cffi releases the GIL
-around every call, so a thread team running them is genuinely parallel.
+Why C at all: the round bodies and the sweep are memory-bound
+pointer-chasing loops (per-pair binary searches over sorted arena runs),
+the shape where a compiled inner loop beats further NumPy batching.
+The C functions take raw pointers into the *same* canonical schema
+arrays (:mod:`repro.core.runtime.layout`) — LocalState NumPy buffers
+and SharedSegmentState views alike, zero copies — and cffi releases the
+GIL around every call, so a thread team running them is genuinely
+parallel.
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib.util
-import io
+import json
 import os
 import shutil
+import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,14 +72,23 @@ void repro_async_slice(
     int64_t *edge_state,
     int64_t undecided, int64_t accepted, int64_t rejected,
     uint8_t *ok);
+int64_t repro_sweep(
+    int64_t n, int64_t qcap,
+    int64_t *arena, const int64_t *offsets, int64_t *counts,
+    const int64_t *indptr, const int64_t *indices, const int64_t *lower,
+    int64_t *cursor, int64_t *lp,
+    int64_t *work, int64_t *edges, int64_t *queue_sizes);
 """
 
-#: The C translation of rounds.run_sync_slice / run_async_slice.  Kept
-#: semantically line-for-line with the NumPy kernels so the synchronous
-#: output is bit-identical (same ok mask, same appends, same advances);
-#: see repro/core/native/bodies.py for the equivalence argument.
+#: The C translation of rounds.run_sync_slice / run_async_slice and of
+#: the serial maximal-progress sweep (driver._serve_turns with one
+#: slice).  Kept semantically line-for-line with the Python code so the
+#: synchronous rounds and the serial sweep are bit-identical (same ok
+#: mask, same appends, same advances, same service order); see
+#: repro/core/native/bodies.py for the equivalence argument.
 SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 
 /* 1 iff every element of child[0:cw] occurs in parent[0:cv].  Both runs
    are sorted ascending (the ordered-chordal-set invariant), so each
@@ -178,6 +191,104 @@ void repro_async_slice(
         lp[w] = (c < lower[w]) ? indices[indptr[w] + c] : -1;
     }
 }
+
+static int repro_cmp_i64(const void *a, const void *b)
+{
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Append w to the children list of x (insertion order = service order). */
+static void repro_push_child(int64_t *head, int64_t *tail, int64_t *next,
+                             int64_t x, int64_t w)
+{
+    next[w] = -1;
+    if (head[x] < 0) head[x] = w; else next[tail[x]] = w;
+    tail[x] = w;
+}
+
+/* The serial maximal-progress sweep: ascending turns over a live
+   children map.  At v's turn every child w whose current lowest parent
+   is v is tested against the prefix of C[v] frozen at the start of the
+   turn, appended on accept, and advanced to its next parent x > v -- so
+   a later queue member x serves w again within the same iteration.
+   The children map is head/tail/next linked lists over n (each vertex
+   sits in at most one list, its current parent's); the next queue is
+   every x some child moved to, collected with a mark array and sorted.
+
+   work holds 6n int64 of scratch.  Edges (v, w) are written in service
+   order into edges (room for every arena slot), the per-iteration queue
+   sizes into queue_sizes (qcap + 1 slots).  Returns the number of
+   edges, or -1 when an iteration beyond qcap would start; its queue
+   size is then queue_sizes[qcap]. */
+int64_t repro_sweep(
+    int64_t n, int64_t qcap,
+    int64_t *arena, const int64_t *offsets, int64_t *counts,
+    const int64_t *indptr, const int64_t *indices, const int64_t *lower,
+    int64_t *cursor, int64_t *lp,
+    int64_t *work, int64_t *edges, int64_t *queue_sizes)
+{
+    int64_t *head = work, *tail = work + n, *next = work + 2 * n;
+    int64_t *queue = work + 3 * n, *spare = work + 4 * n, *mark = work + 5 * n;
+    int64_t nq = 0, ne = 0, iters = 0;
+    for (int64_t v = 0; v < n; v++) {
+        head[v] = -1;
+        mark[v] = 0;
+    }
+    for (int64_t w = 0; w < n; w++)
+        if (lp[w] >= 0) repro_push_child(head, tail, next, lp[w], w);
+    for (int64_t v = 0; v < n; v++)
+        if (head[v] >= 0) queue[nq++] = v;
+
+    while (nq > 0) {
+        if (iters == qcap) {
+            queue_sizes[qcap] = nq;
+            return -1;
+        }
+        queue_sizes[iters++] = nq;
+        int64_t ns = 0;
+        for (int64_t qi = 0; qi < nq; qi++) {
+            int64_t v = queue[qi];
+            int64_t cv = counts[v];  /* C[v] cannot grow during v's turn */
+            const int64_t *cset = arena + offsets[v];
+            int64_t w = head[v];
+            head[v] = -1;
+            while (w >= 0) {
+                int64_t after = next[w];
+                int64_t cw = counts[w];
+                int acc = (cw <= cv);
+                if (acc && cw > 0)
+                    acc = repro_is_subset(arena + offsets[w], cw, cset, cv);
+                if (acc) {
+                    arena[offsets[w] + cw] = v;
+                    counts[w] = cw + 1;
+                    edges[2 * ne] = v;
+                    edges[2 * ne + 1] = w;
+                    ne++;
+                }
+                int64_t c = cursor[w] + 1;
+                cursor[w] = c;
+                int64_t x = (c < lower[w]) ? indices[indptr[w] + c] : -1;
+                lp[w] = x;
+                if (x >= 0) {
+                    repro_push_child(head, tail, next, x, w);
+                    if (!mark[x]) {
+                        mark[x] = 1;
+                        spare[ns++] = x;
+                    }
+                }
+                w = after;
+            }
+        }
+        qsort(spare, (size_t)ns, sizeof(int64_t), repro_cmp_i64);
+        for (int64_t i = 0; i < ns; i++) mark[spare[i]] = 0;
+        int64_t *swap = queue;
+        queue = spare;
+        spare = swap;
+        nq = ns;
+    }
+    return ne;
+}
 """
 
 
@@ -229,30 +340,48 @@ def _find_compiler() -> str | None:
     return None
 
 
+#: Run by :func:`_build` in a child interpreter: reads ``[cdef, source,
+#: name, tmpdir]`` as JSON on stdin, compiles, prints the built path.
+#: Keeping setuptools/distutils out of the calling process keeps its
+#: memory footprint the same on a cold cache as on a warm one.
+_BUILD_SCRIPT = """
+import json, sys
+import cffi
+cdef, source, name, tmpdir = json.load(sys.stdin)
+ffi = cffi.FFI()
+ffi.cdef(cdef)
+ffi.set_source(name, source, extra_compile_args=["-O3"])
+print(ffi.compile(tmpdir=tmpdir))
+"""
+
+
 def _build(cache: Path, name: str) -> Path:
     """Compile the extension into ``cache`` and return the .so path.
 
-    Builds in a per-pid scratch directory and publishes with an atomic
+    The compile runs in a child interpreter (``sys.executable``).  It
+    builds in a per-pid scratch directory and publishes with an atomic
     rename, so concurrent first-builds (parallel test sessions) cannot
     observe each other's half-written artifacts.
     """
-    import cffi
-
     cache.mkdir(parents=True, exist_ok=True)
     scratch = cache / f"build-{os.getpid()}"
-    ffi = cffi.FFI()
-    ffi.cdef(CDEF)
-    ffi.set_source(name, SOURCE, extra_compile_args=["-O3"])
-    noise = io.StringIO()  # distutils chatter; surfaced only on failure
+    payload = json.dumps([CDEF, SOURCE, name, str(scratch)])
     try:
-        with redirect_stdout(noise), redirect_stderr(noise):
-            built = Path(ffi.compile(tmpdir=str(scratch)))
+        proc = subprocess.run(
+            [sys.executable, "-c", _BUILD_SCRIPT],
+            input=payload,
+            capture_output=True,
+            text=True,
+        )
+        if proc.returncode != 0:
+            # distutils chatter; surfaced only on failure
+            tail = (proc.stdout + proc.stderr).strip().splitlines()[-3:]
+            raise RuntimeError(
+                f"compiler process exited with {proc.returncode} [{' | '.join(tail)}]"
+            )
+        built = Path(proc.stdout.strip().splitlines()[-1])
         final = cache / built.name
         os.replace(built, final)
-    except Exception as exc:
-        tail = noise.getvalue().strip().splitlines()[-3:]
-        suffix = f" [{' | '.join(tail)}]" if tail else ""
-        raise RuntimeError(f"{exc}{suffix}") from exc
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     return final

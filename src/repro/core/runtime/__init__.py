@@ -18,7 +18,13 @@ The built-in engines are thin pairings of these (see
 section.
 """
 
-from repro.core.runtime.driver import SCHEDULES, VARIANTS, backend_run_fn, drive
+from repro.core.runtime.driver import (
+    SCHEDULES,
+    VARIANTS,
+    backend_run_fn,
+    drive,
+    record_kernel_path,
+)
 from repro.core.runtime.executors import (
     NativeThreadTeamExecutor,
     ProcessTeamExecutor,
@@ -32,6 +38,7 @@ from repro.core.runtime.state import LocalState, SharedSegmentState, StateBacken
 
 __all__ = [
     "drive",
+    "record_kernel_path",
     "backend_run_fn",
     "SCHEDULES",
     "VARIANTS",

@@ -18,13 +18,21 @@ executor) pairing:
   a vertex whose next parent is a later queue member is served again
   within the same iteration.  Deterministic when serial (reproduces the
   paper's headline iteration counts: ~3 for R-MAT, k-1 for a k-clique);
-  any-valid when thread-sliced (the platform's benign races).
+  any-valid when thread-sliced (the platform's benign races).  The
+  serial, untraced sweep runs as one compiled call
+  (:func:`repro.core.native.native_sweep`) whenever the native backend
+  resolves, bit-identical to the Python sweep below, which stays the
+  fallback and the path for traced and thread-sliced runs.
 * ``schedule="asynchronous"`` on a process team — or any executor that
   sets ``live_rounds = True``, like the native thread team — live
   barrier rounds: one service per vertex per round against whatever
   chordal-set prefixes other workers have published, with lock-free
   edge-claim words (:func:`~repro.core.runtime.rounds.run_async_slice`).
   Any-valid; certify with :func:`repro.chordality.verify_extraction`.
+
+Which kernels ran is recorded too: inside :func:`record_kernel_path`,
+``record.path`` reads ``"native"`` once a compiled sweep or round body
+ran, ``"numpy"`` otherwise (what ``ChordalResult.kernel_path`` reports).
 
 Work traces are a **driver** feature: for synchronous rounds the trace is
 reconstructed from each round's snapshot in canonical ascending order, so
@@ -36,6 +44,8 @@ recorded at service time (under a lock when thread-sliced).
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,10 +55,44 @@ from repro.core.runtime.layout import CTRL_NKEYS
 from repro.errors import ConfigError, ConvergenceError
 from repro.parallel.partition import balanced_chunks
 
-__all__ = ["drive", "backend_run_fn", "SCHEDULES", "VARIANTS"]
+__all__ = ["drive", "backend_run_fn", "record_kernel_path", "SCHEDULES", "VARIANTS"]
 
 SCHEDULES = ("asynchronous", "synchronous")
 VARIANTS = ("optimized", "unoptimized")
+
+
+_recording = threading.local()
+
+
+@contextmanager
+def record_kernel_path():
+    """Record which kernels the :func:`drive` calls in this block ran.
+
+    Yields a record whose ``path`` is ``"native"`` once a drive() on
+    this thread dispatched the compiled sweep or compiled round bodies,
+    and stays ``"numpy"`` otherwise — including engines that never call
+    drive().
+    """
+    record = SimpleNamespace(path="numpy")
+    outer = getattr(_recording, "record", None)
+    _recording.record = record
+    try:
+        yield record
+    finally:
+        _recording.record = outer
+
+
+def _ran_native() -> None:
+    record = getattr(_recording, "record", None)
+    if record is not None:
+        record.path = "native"
+
+
+def _budget_error(limit: int, queue: int) -> ConvergenceError:
+    return ConvergenceError(
+        f"exceeded iteration budget {limit} (queue={queue}); "
+        "this indicates an internal bug"
+    )
 
 
 def drive(
@@ -237,6 +281,8 @@ def _drive_rounds(
                 builder, degrees, a["snapshot"][:n], active, parents, accepted, variant
             )
 
+    if getattr(executor, "kernel_path", "numpy") == "native":
+        _ran_native()
     edges = assemble_edges(chunks)
     if live:
         state.verify_async_accounting(int(edges.shape[0]))
@@ -289,6 +335,15 @@ def _record_sync_round(
 def _drive_sweep(
     state, executor, variant: str, builder: TraceBuilder, limit: int
 ) -> tuple[np.ndarray, list[int], WorkTrace | None]:
+    if executor.num_slices == 1 and not builder.enabled:
+        from repro.core.native import native_available, native_sweep
+
+        if native_available():
+            edges, queue_sizes = native_sweep(state, limit)
+            if edges is None:
+                raise _budget_error(limit, queue_sizes[-1])
+            _ran_native()
+            return edges, queue_sizes, None
     a = state.arrays
     n = state.n
     lp = a["lp"]
@@ -316,10 +371,7 @@ def _drive_sweep(
     while q1:
         queue_sizes.append(len(q1))
         if len(queue_sizes) > limit:
-            raise ConvergenceError(
-                f"exceeded iteration budget {limit} (queue={len(q1)}); "
-                "this indicates an internal bug"
-            )
+            raise _budget_error(limit, len(q1))
         # Partition Q1 contiguously, weighted by expected service cost
         # (child count proxied by degree).
         chunk_of = balanced_chunks(degrees[q1].astype(np.float64) + 1.0, num_slices)

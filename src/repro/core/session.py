@@ -40,6 +40,7 @@ from repro.core.engines import registered_engines
 from repro.core.instrument import WorkTrace
 from repro.core.maximalize import maximalize_chordal_edges
 from repro.core.procpool import ProcessPool
+from repro.core.runtime.driver import record_kernel_path
 from repro.errors import ConfigError, SessionClosedError
 from repro.graph.bfs import bfs_renumber
 from repro.graph.csr import CSRGraph
@@ -71,10 +72,11 @@ class ChordalResult:
         The input graph the edges refer to (original ids, even when
         BFS renumbering was applied internally).
     kernel_path:
-        Which round bodies actually ran: ``"native"`` when a
-        ``supports_native`` engine resolved the compiled backend,
-        ``"numpy"`` otherwise (including the fallback inside a native
-        engine on a toolchain-less host).
+        Which kernels actually ran: ``"native"`` when the driver
+        dispatched the compiled sweep or compiled round bodies,
+        ``"numpy"`` otherwise (including the fallback on a
+        toolchain-less host, traced runs and engines without a compiled
+        path).
     """
 
     edges: np.ndarray
@@ -234,13 +236,8 @@ class Extractor:
                     },
                 )
 
-        edges, queue_sizes, trace = self._spec.run(work_graph, cfg, pool)
-
-        kernel_path = "numpy"
-        if getattr(self._spec, "supports_native", False):
-            from repro.core.native import native_available
-
-            kernel_path = "native" if native_available() else "numpy"
+        with record_kernel_path() as ran:
+            edges, queue_sizes, trace = self._spec.run(work_graph, cfg, pool)
 
         if old_of_new is not None and edges.size:
             edges = np.column_stack((old_of_new[edges[:, 0]], old_of_new[edges[:, 1]]))
@@ -267,7 +264,7 @@ class Extractor:
             renumbered=cfg.renumber == "bfs",
             stitched_bridges=stitched,
             maximality_gap=gap,
-            kernel_path=kernel_path,
+            kernel_path=ran.path,
         )
 
     def extract_many(self, graphs: Iterable[CSRGraph]) -> list[ChordalResult]:

@@ -12,7 +12,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.builder import from_edge_array
+from repro.graph.builder import _best_index_dtype, from_edge_array
 from repro.graph.csr import CSRGraph
 
 __all__ = [
@@ -75,10 +75,17 @@ def relabel(graph: CSRGraph, new_of_old: np.ndarray) -> CSRGraph:
         raise GraphFormatError(f"permutation must have shape ({n},), got {perm.shape}")
     if not np.array_equal(np.sort(perm), np.arange(n)):
         raise GraphFormatError("new_of_old is not a permutation of 0..n-1")
+    # edge_array() lists each edge once (u < v), so the permuted arcs
+    # need no dedupe: one sort of their scalar keys orders the new CSR.
     edges = graph.edge_array()
-    if edges.size:
-        edges = np.column_stack((perm[edges[:, 0]], perm[edges[:, 1]]))
-    return from_edge_array(n, edges)
+    src = perm[edges[:, 0]]
+    dst = perm[edges[:, 1]]
+    keys = np.concatenate((src * n + dst, dst * n + src))
+    keys.sort()
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    indices = (keys % n).astype(_best_index_dtype(n))
+    return CSRGraph(indptr, indices, sorted_adjacency=True, validate=False)
 
 
 def union_edges(graph_a: CSRGraph, graph_b: CSRGraph) -> CSRGraph:

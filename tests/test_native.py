@@ -185,14 +185,17 @@ class TestCompiledPath:
             GRAPHS["rmat_er"](), engine="native", schedule="synchronous"
         )
         assert r.kernel_path == "native"
-        base = extract_maximal_chordal_subgraph(
-            GRAPHS["rmat_er"](), engine="superstep"
-        )
-        assert base.kernel_path == "numpy"
+        # superstep: the asynchronous sweep is compiled, the synchronous
+        # rounds run the NumPy kernels, and traced runs the Python sweep.
+        g = GRAPHS["rmat_er"]()
+        assert extract_maximal_chordal_subgraph(g, engine="superstep").kernel_path == "native"
+        for overrides in ({"schedule": "synchronous"}, {"collect_trace": True}):
+            r = extract_maximal_chordal_subgraph(g, engine="superstep", **overrides)
+            assert r.kernel_path == "numpy", overrides
 
     def test_engine_capability_flag(self):
         assert get_engine("native").supports_native
-        assert not get_engine("superstep").supports_native
+        assert get_engine("superstep").supports_native
         assert get_engine("native").is_deterministic("synchronous")
         assert not get_engine("native").is_deterministic("asynchronous")
 

@@ -72,6 +72,24 @@ class TestDiagnosedFailures:
         )
         assert not report.edges_valid and (0, 2) in report.invented_edges
 
+    def test_invented_edges_match_tuple_set_diff(self):
+        """The key diff returns the sorted tuple-set difference, truncated
+        to the counterexample bound, and a zero bound still fails."""
+        from repro.graph.builder import from_edge_array
+
+        g = gnp_random_graph(30, 0.2, seed=4)
+        rng = np.random.default_rng(4)
+        rows = rng.integers(0, g.num_vertices, size=(60, 2))
+        rows = rows[rows[:, 0] != rows[:, 1]]  # self-loops are reported first
+        sub = from_edge_array(g.num_vertices, rows)
+        want = sorted(sub.edge_set() - g.edge_set())
+        assert len(want) > 5
+        for limit in (1, 5, len(want) + 3):
+            report = verify_extraction(g, rows, check_maximal=False, max_counterexamples=limit)
+            assert report.invented_edges == want[:limit]
+            assert not report.edges_valid
+        assert not verify_extraction(g, rows, max_counterexamples=0).edges_valid
+
     def test_non_maximal_output_reports_addable(self):
         g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
         report = verify_extraction(g, np.array([[0, 1]], dtype=np.int64))
