@@ -42,7 +42,7 @@ SHAPES = list(CASES)
 CASES += [
     (f"{gen.__name__}-s{scale}", gen, scale)
     for gen in (rmat_er, rmat_g, rmat_b)
-    for scale in (6, 8, 10, 12)
+    for scale in range(6, 13)
 ]
 
 
